@@ -104,13 +104,14 @@ func analyzeSorted(sorted []float64, opts POTOptions) (Report, error) {
 	if len(sorted) == 0 {
 		return Report{}, ErrSampleTooSmall
 	}
-	thr, err := selectThresholdSorted(sorted, o.Threshold)
+	thr, fit, err := selectThresholdSorted(sorted, o.Threshold)
 	if err != nil {
 		return Report{}, fmt.Errorf("threshold selection: %w", err)
 	}
-	fit, err := FitGPD(thr.Exceedances)
-	if err != nil {
-		return Report{}, fmt.Errorf("GPD fit: %w", err)
+	if fit.Method == "" {
+		if fit, err = FitGPD(thr.Exceedances); err != nil {
+			return Report{}, fmt.Errorf("GPD fit: %w", err)
+		}
 	}
 	iv, err := UPBConfidenceInterval(thr.U, thr.Exceedances, fit, o.Alpha)
 	if err != nil {

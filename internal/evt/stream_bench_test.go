@@ -53,6 +53,20 @@ func BenchmarkStreamRefit(b *testing.B) {
 	}
 }
 
+// BenchmarkFitGPD measures one maximum-likelihood GPD fit at m=125
+// exceedances — 5% of a 2,500-draw sample, the size a refit's threshold
+// scan fits about 16 times.
+func BenchmarkFitGPD(b *testing.B) {
+	ys := GPD{Xi: -0.3, Sigma: 5}.Sample(rand.New(rand.NewSource(99)), 125)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitGPD(ys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyze measures the from-scratch batch analysis the
 // streaming update amortizes away.
 func BenchmarkAnalyze(b *testing.B) {

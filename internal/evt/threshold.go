@@ -94,7 +94,8 @@ func SelectThreshold(xs []float64, opts ThresholdOptions) (Threshold, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return selectThresholdSorted(sorted, opts)
+	thr, _, err := selectThresholdSorted(sorted, opts)
+	return thr, err
 }
 
 // selectThresholdSorted is SelectThreshold on a sample already validated
@@ -103,19 +104,22 @@ func SelectThreshold(xs []float64, opts ThresholdOptions) (Threshold, error) {
 // directly on its maintained order statistics — because sorting is a
 // permutation and every downstream quantity is computed from the sorted
 // order, the result is bitwise-identical to SelectThreshold on any
-// permutation of the same observations.
-func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, error) {
+// permutation of the same observations. Under RuleAuto it also returns
+// the winning candidate's GPD fit, so the analysis need not refit the
+// same exceedances; the other rules fit nothing and return a zero Fit
+// (Method "").
+func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, Fit, error) {
 	o := opts.withDefaults()
 	n := len(sorted)
 	maxM := int(float64(n) * o.MaxExceedFraction)
 	if maxM < o.MinExceedances {
-		return Threshold{}, fmt.Errorf("%w: %d observations allow at most %d exceedances at fraction %.3f, need >= %d",
+		return Threshold{}, Fit{}, fmt.Errorf("%w: %d observations allow at most %d exceedances at fraction %.3f, need >= %d",
 			ErrSampleTooSmall, n, maxM, o.MaxExceedFraction, o.MinExceedances)
 	}
 
 	mePoints, err := MeanExcess(sorted)
 	if err != nil {
-		return Threshold{}, err
+		return Threshold{}, Fit{}, err
 	}
 
 	// build selects the threshold keeping ~m observations. The exceedance
@@ -166,7 +170,8 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	}
 
 	if o.Rule == RuleMaxFraction {
-		return build(maxM)
+		thr, err := build(maxM)
+		return thr, Fit{}, err
 	}
 
 	// Scan a coarse grid of exceedance counts (scores vary smoothly, so
@@ -177,6 +182,7 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 	}
 	type candidate struct {
 		thr     Threshold
+		fit     Fit // RuleAuto only
 		score   float64
 		bounded bool // fitted ξ < 0
 	}
@@ -201,11 +207,12 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 				continue
 			}
 			cand.QQCorr = QQCorrelation(QuantilePlot(cand.Exceedances, fit.GPD))
-			cands = append(cands, candidate{thr: cand, score: cand.QQCorr, bounded: fit.GPD.Xi < 0})
+			cands = append(cands, candidate{thr: cand, fit: fit, score: cand.QQCorr, bounded: fit.GPD.Xi < 0})
 		}
 	}
 	if len(cands) == 0 {
-		return build(maxM)
+		thr, err := build(maxM)
+		return thr, Fit{}, err
 	}
 	// Bounded fits take absolute precedence: an unbounded (ξ >= 0) fit
 	// cannot produce an upper performance bound no matter how straight its
@@ -238,5 +245,5 @@ func selectThresholdSorted(sorted []float64, opts ThresholdOptions) (Threshold, 
 			best = c
 		}
 	}
-	return best.thr, nil
+	return best.thr, best.fit, nil
 }

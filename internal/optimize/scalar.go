@@ -1,3 +1,6 @@
+// Package optimize provides the derivative-free scalar routines the EVT
+// analysis needs: a golden-section minimizer for unimodal 1-D functions
+// and a bisection root finder for confidence-interval boundaries.
 package optimize
 
 import (
