@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"optassign/internal/t2"
@@ -17,6 +18,11 @@ import (
 // The expected number of rejections grows steeply as tasks approaches
 // topo.Contexts() (the birthday problem); use RandomPermutation for
 // near-full workloads — it draws from the identical distribution.
+//
+// Each context is drawn as rng.Intn(topo.Contexts()) would draw it, and an
+// attempt stops at its first collision, so the variates consumed — and
+// hence every assignment after this one on the same rng — are fixed by the
+// seed. Journals replay on that guarantee.
 func Random(rng *rand.Rand, topo t2.Topology, tasks int) (Assignment, error) {
 	if err := topo.Validate(); err != nil {
 		return Assignment{}, err
@@ -25,27 +31,46 @@ func Random(rng *rand.Rand, topo t2.Topology, tasks int) (Assignment, error) {
 	if tasks < 1 || tasks > v {
 		return Assignment{}, fmt.Errorf("assign: %d tasks do not fit %d contexts", tasks, v)
 	}
+	if v > math.MaxInt32 {
+		return Assignment{}, fmt.Errorf("assign: %d contexts exceed the sampler's %d", v, math.MaxInt32)
+	}
 	ctx := make([]int, tasks)
-	used := make([]bool, v)
+	// Used contexts live in a bitset, on the stack up to 256 contexts.
+	var usedBuf [4]uint64
+	used := usedBuf[:]
+	if w := (v + 63) / 64; w > len(usedBuf) {
+		used = make([]uint64, w)
+	}
+	// Each draw is rng.Intn(v) inlined: Int31n on the top 31 bits of
+	// Int63, masked for a power of two and otherwise rejecting values above
+	// the largest multiple of v. Going through Intn costs about a third of
+	// the sampler's time.
+	n := int32(v)
+	limit := int32(1<<31 - 1 - (1<<31)%uint32(n))
 	for {
-		ok := true
-		for i := range ctx {
-			c := rng.Intn(v)
-			if used[c] {
-				ok = false
-				// Finish drawing so the rejection step consumes the same
-				// variates regardless of where the collision happened, then
-				// clear and retry.
+		clear(used)
+		i := 0
+		for ; i < tasks; i++ {
+			c := int32(rng.Int63() >> 32)
+			if n&(n-1) == 0 {
+				c &= n - 1
+			} else {
+				for c > limit {
+					c = int32(rng.Int63() >> 32)
+				}
+				c %= n
+			}
+			w, bit := uint32(c)/64, uint64(1)<<(uint32(c)%64)
+			if used[w]&bit != 0 {
+				// Reject the whole attempt at the first collision; the
+				// remaining tasks of this attempt draw nothing.
 				break
 			}
-			used[c] = true
-			ctx[i] = c
+			used[w] |= bit
+			ctx[i] = int(c)
 		}
-		if ok {
+		if i == tasks {
 			return Assignment{Topo: topo, Ctx: ctx}, nil
-		}
-		for i := range used {
-			used[i] = false
 		}
 	}
 }

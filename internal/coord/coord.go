@@ -48,18 +48,21 @@ import (
 // Spec is one campaign submission.
 type Spec struct {
 	// ID names the campaign; it keys the spec file, the journal and the
-	// result row, so it must be unique and filename-safe.
+	// result row, so it must be unique and filename-safe, and at most
+	// 128 bytes long.
 	ID string `json:"id"`
 	// Benchmark picks the workload (see apps.ByName).
 	Benchmark string `json:"benchmark"`
 	// Instances sizes the local testbed (pipeline instances, 3 tasks
-	// each); 0 means the default 8. Ignored by pooled sources.
+	// each); 0 means the default 8, and a negative count is rejected by
+	// every source. The local source also rejects counts whose tasks do
+	// not fit the testbed's hardware contexts; pooled sources ignore it.
 	Instances int `json:"instances,omitempty"`
 	// LossPct is the acceptable performance loss versus the estimated
 	// optimum, in percent.
 	LossPct float64 `json:"loss_pct"`
 	// Ninit, Ndelta and MaxSamples are the fit schedule (§5.3); zero
-	// takes the engine defaults.
+	// takes the engine defaults, and negative values are rejected.
 	Ninit      int `json:"ninit,omitempty"`
 	Ndelta     int `json:"ndelta,omitempty"`
 	MaxSamples int `json:"max_samples,omitempty"`
@@ -75,10 +78,17 @@ type Spec struct {
 // map the whole family to a 400.
 var ErrBadSpec = errors.New("coord: bad campaign spec")
 
+// maxIDLen caps campaign ids well below the file-name limit, since the id
+// names the spec, journal and sidecar files.
+const maxIDLen = 128
+
 // Validate rejects specs the coordinator cannot run or persist.
 func (s Spec) Validate() error {
 	if s.ID == "" {
 		return fmt.Errorf("%w: campaign has no id", ErrBadSpec)
+	}
+	if len(s.ID) > maxIDLen {
+		return fmt.Errorf("%w: campaign id is %d bytes, at most %d allowed", ErrBadSpec, len(s.ID), maxIDLen)
 	}
 	for _, r := range s.ID {
 		switch {
@@ -96,6 +106,14 @@ func (s Spec) Validate() error {
 	}
 	if s.LossPct <= 0 {
 		return fmt.Errorf("%w: campaign needs a positive loss_pct", ErrBadSpec)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"instances", s.Instances}, {"ninit", s.Ninit}, {"ndelta", s.Ndelta}, {"max_samples", s.MaxSamples}} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrBadSpec, f.name, f.v)
+		}
 	}
 	params, err := search.ParseParams(s.StrategyParams)
 	if err != nil {

@@ -3,6 +3,9 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,5 +197,67 @@ func TestHTTPPauseResume(t *testing.T) {
 	waitSettled(t, c)
 	if resp, body = getJSON(t, srv.URL+"/campaigns/hp"); body["state"] != string(StateCancelled) {
 		t.Fatalf("after cancel: %v", body)
+	}
+}
+
+// TestHTTPRejectsClientMistakes: every spec a client got wrong is a 400
+// with an error body, and leaves nothing behind — never a 500 from deep in
+// the run, and never a silent substitution of defaults.
+func TestHTTPRejectsClientMistakes(t *testing.T) {
+	c, err := Open(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler(nil))
+	defer srv.Close()
+
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"negative ninit", func(s *Spec) { s.Ninit = -1 }},
+		{"negative ndelta", func(s *Spec) { s.Ndelta = -100 }},
+		{"negative max_samples", func(s *Spec) { s.MaxSamples = -600 }},
+		{"negative instances", func(s *Spec) { s.Instances = -2 }},
+		{"too many instances", func(s *Spec) { s.Instances = 22 }}, // 66 tasks on 64 contexts
+		{"overflowing instances", func(s *Spec) { s.Instances = math.MaxInt64/3 + 1 }},
+		{"id too long", func(s *Spec) { s.ID = strings.Repeat("a", 300) }},
+	}
+	for i, tc := range cases {
+		spec := smallSpec(fmt.Sprintf("mistake%d", i), 1)
+		tc.mutate(&spec)
+		resp, body := postJSON(t, srv.URL+"/campaigns", spec)
+		if resp.StatusCode != http.StatusBadRequest || body["error"] == nil || body["error"] == "" {
+			t.Errorf("%s: %d %v, want 400 with an error", tc.name, resp.StatusCode, body)
+		}
+	}
+	if resp, body := getJSON(t, srv.URL+"/campaigns"); body["count"].(float64) != 0 {
+		t.Fatalf("rejected specs left campaigns behind: %d %v", resp.StatusCode, body)
+	}
+}
+
+// TestSpecValidateLimits pins the accepted edges of the limits above: the
+// longest id is valid, and the local source takes the fullest testbed.
+func TestSpecValidateLimits(t *testing.T) {
+	spec := smallSpec(strings.Repeat("a", 128), 1)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("limit spec rejected: %v", err)
+	}
+	spec.ID += "a"
+	if err := spec.Validate(); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("id of %d bytes: err = %v, want ErrBadSpec", len(spec.ID), err)
+	}
+
+	spec = smallSpec("full", 1)
+	spec.Instances = 21 // 63 tasks on 64 contexts
+	h, err := LocalSource{}.Acquire(spec)
+	if err != nil {
+		t.Fatalf("fullest testbed rejected: %v", err)
+	}
+	h.Close()
+	spec.Instances = 22
+	if _, err := (LocalSource{}).Acquire(spec); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("22 instances: err = %v, want ErrBadSpec", err)
 	}
 }

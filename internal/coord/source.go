@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
 
 	"optassign/internal/apps"
@@ -55,6 +56,9 @@ func (LocalSource) Acquire(spec Spec) (Handle, error) {
 		instances = 8
 	}
 	tb, err := netdps.NewTestbed(app, instances, netdps.WithSeed(spec.Seed))
+	if errors.Is(err, netdps.ErrTooManyTasks) {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}

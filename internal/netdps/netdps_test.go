@@ -1,6 +1,7 @@
 package netdps
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,8 +36,14 @@ func TestNewTestbedValidation(t *testing.T) {
 	if _, err := NewTestbed(app, 0); err == nil {
 		t.Error("0 instances accepted")
 	}
-	if _, err := NewTestbed(app, 22); err == nil { // 66 tasks > 64 contexts
-		t.Error("overfull testbed accepted")
+	if _, err := NewTestbed(app, 21); err != nil { // 63 tasks on 64 contexts
+		t.Errorf("fullest testbed rejected: %v", err)
+	}
+	// 66 tasks > 64 contexts, and counts whose task count would overflow.
+	for _, n := range []int{22, math.MaxInt64/3 + 1, math.MaxInt64} {
+		if _, err := NewTestbed(app, n); !errors.Is(err, ErrTooManyTasks) {
+			t.Errorf("overfull testbed of %d instances: err = %v, want ErrTooManyTasks", n, err)
+		}
 	}
 	bad := netgen.Profile{Flows: 0}
 	if _, err := NewTestbed(app, 1, WithProfile(bad)); err == nil {

@@ -13,13 +13,24 @@
 //     from the traffic generator through the actual benchmark thread code
 //     over bounded queues — the ground truth the analytic path is validated
 //     against.
+//
+// The analytic measurement is the campaigns' inner loop, so it is kept
+// lean without changing a single measured bit: proc.Solve runs its fixed
+// point over a flat per-call demand table in the original summation order,
+// and the noise factor takes its uniform variate from stats.FirstFloat64,
+// which computes the first Float64 of rand.New(rand.NewSource(s)) in
+// closed form (six Lehmer-chain jumps and two constants of math/rand's
+// seeding table) instead of seeding a 607-word generator. The noise seed
+// is the FNV-1a hash of "<canonical key>|<seed>". TestMeasureAnalyticGolden
+// pins the resulting bits.
 package netdps
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"optassign/internal/apps"
@@ -27,6 +38,7 @@ import (
 	"optassign/internal/cycle"
 	"optassign/internal/netgen"
 	"optassign/internal/proc"
+	"optassign/internal/stats"
 )
 
 // Testbed is one benchmark configuration on the simulated machine.
@@ -56,6 +68,10 @@ type Testbed struct {
 	batchSim  *cycle.BatchSim
 	batchErr  error
 }
+
+// ErrTooManyTasks reports an instance count whose tasks (3 per instance)
+// do not fit the machine's hardware contexts.
+var ErrTooManyTasks = errors.New("netdps: tasks exceed hardware contexts")
 
 // Option customizes a Testbed.
 type Option func(*Testbed)
@@ -95,9 +111,10 @@ func NewTestbed(app apps.App, instances int, opts ...Option) (*Testbed, error) {
 	if err := tb.Profile.Validate(); err != nil {
 		return nil, err
 	}
-	if tb.TaskCount() > tb.Machine.Topo.Contexts() {
-		return nil, fmt.Errorf("netdps: %d tasks exceed %d hardware contexts",
-			tb.TaskCount(), tb.Machine.Topo.Contexts())
+	// Compare instances, not TaskCount, so huge counts cannot overflow.
+	if v := tb.Machine.Topo.Contexts(); instances > v/int(apps.NumStages) {
+		return nil, fmt.Errorf("%w: %d instances of %d tasks on %d contexts",
+			ErrTooManyTasks, instances, apps.NumStages, v)
 	}
 	demands := app.MeanDemands()
 	for i := 0; i < instances; i++ {
@@ -158,12 +175,22 @@ func (tb *Testbed) MeasureAnalytic(a assign.Assignment) (float64, error) {
 	}
 	pps := res.TotalPPS
 	if tb.Noise > 0 {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%d", a.CanonicalKey(), tb.Seed)
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		pps *= 1 + tb.Noise*(2*rng.Float64()-1)
+		pps *= 1 + tb.Noise*(2*stats.FirstFloat64(noiseSeed(a.CanonicalKey(), tb.Seed))-1)
 	}
 	return pps, nil
+}
+
+// noiseSeed hashes "<canonical key>|<seed>" with 64-bit FNV-1a: the bytes
+// fmt.Fprintf(h, "%s|%d", key, seed) would write, fed to the hash without
+// going through fmt.
+func noiseSeed(key string, seed int64) int64 {
+	buf := make([]byte, 0, 128)
+	buf = append(buf, key...)
+	buf = append(buf, '|')
+	buf = strconv.AppendInt(buf, seed, 10)
+	h := fnv.New64a()
+	h.Write(buf)
+	return int64(h.Sum64())
 }
 
 // Measure implements the core.Runner contract with MeasureAnalytic.

@@ -117,6 +117,14 @@ const (
 // depends on the placement only through which resource instances tasks
 // share — so symmetric assignments (same canonical form) get identical
 // results.
+//
+// The solver resolves every (task, resource) pair to a slot of one flat
+// utilization array once per call, keeping only the non-zero demands, so
+// the fixed-point loop is two passes over a dense table. The table keeps
+// tasks in order and resources in order within a task, so every
+// floating-point sum is accumulated in the same sequence as the direct
+// formulation — results are bit-identical to it, which the measurement
+// journals and caches rely on.
 func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
@@ -129,36 +137,24 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 		return Result{}, fmt.Errorf("proc: %d tasks but %d placements", n, len(placement))
 	}
 	v := m.Topo.Contexts()
-	seen := make(map[int]bool, n)
+	var seenBuf [4]uint64
+	seen := seenBuf[:]
+	if words := (v + 63) / 64; words > len(seenBuf) {
+		seen = make([]uint64, words)
+	}
 	for i, c := range placement {
 		if c < 0 || c >= v {
 			return Result{}, fmt.Errorf("proc: task %d placed on invalid context %d", i, c)
 		}
-		if seen[c] {
+		if seen[c/64]&(1<<(c%64)) != 0 {
 			return Result{}, fmt.Errorf("proc: context %d assigned twice", c)
 		}
-		seen[c] = true
-	}
-
-	// Effective demands: task demand plus link communication, which depends
-	// on the placement distance of the endpoints.
-	eff := make([]Demand, n)
-	for i, t := range tasks {
-		eff[i] = t.Demand
+		seen[c/64] |= 1 << (c % 64)
 	}
 	for _, l := range links {
 		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n {
 			return Result{}, fmt.Errorf("proc: link %v references unknown task", l)
 		}
-		var comm Demand
-		if m.Topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
-			comm.Res[L2] = m.RemoteCommL2 * l.Volume
-			comm.Res[XBAR] = m.RemoteCommXBar * l.Volume
-		} else {
-			comm.Res[L1D] = m.LocalCommL1 * l.Volume
-		}
-		eff[l.A] = eff[l.A].Add(comm)
-		eff[l.B] = eff[l.B].Add(comm)
 	}
 
 	// Group bookkeeping.
@@ -173,43 +169,81 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	}
 	numGroups := maxGroup + 1
 
-	// Resource instance index per task and resource kind.
-	instOf := func(task int, r Resource) int {
-		ctx := placement[task]
-		switch r.Level() {
-		case t2.IntraPipe:
-			return m.Topo.PipeOf(ctx)
-		case t2.IntraCore:
-			return m.Topo.CoreOf(ctx)
-		default:
-			return 0
-		}
-	}
-	instances := [NumResources]int{}
+	// Flat utilization layout: resource r's instances occupy slots
+	// offset[r] to offset[r+1]-1.
+	var offset [NumResources + 1]int
 	for r := 0; r < NumResources; r++ {
 		switch Resource(r).Level() {
 		case t2.IntraPipe:
-			instances[r] = m.Topo.Pipes()
+			offset[r+1] = offset[r] + m.Topo.Pipes()
 		case t2.IntraCore:
-			instances[r] = m.Topo.Cores
+			offset[r+1] = offset[r] + m.Topo.Cores
 		default:
-			instances[r] = 1
+			offset[r+1] = offset[r] + 1
 		}
+	}
+	slots := offset[NumResources]
+	var utilBuf [128]float64
+	util := utilBuf[:]
+	if slots > len(utilBuf) {
+		util = make([]float64, slots)
+	}
+	util = util[:slots]
+
+	// Demand table: each task's non-zero effective demands, in resource
+	// order, with the utilization slot each one loads. The effective
+	// demand is the task's own plus link communication, which depends on
+	// the placement distance of the endpoints; it is added link by link,
+	// in link order, exactly as a per-task accumulation would.
+	var taskBuf [64]solveTask
+	var termBuf [256]solveTerm
+	tt, terms := taskBuf[:0], termBuf[:0]
+	for i, t := range tasks {
+		eff := t.Demand
+		for _, l := range links {
+			if l.A != i && l.B != i {
+				continue
+			}
+			var comm Demand
+			if m.Topo.ShareLevel(placement[l.A], placement[l.B]) == t2.InterCore {
+				comm.Res[L2] = m.RemoteCommL2 * l.Volume
+				comm.Res[XBAR] = m.RemoteCommXBar * l.Volume
+			} else {
+				comm.Res[L1D] = m.LocalCommL1 * l.Volume
+			}
+			if l.A == i {
+				eff = eff.Add(comm)
+			}
+			if l.B == i {
+				eff = eff.Add(comm)
+			}
+		}
+		base := eff.Base()
+		if base <= 0 {
+			return Result{}, fmt.Errorf("proc: task %d has non-positive base service time", i)
+		}
+		pipe, core := m.Topo.PipeOf(placement[i]), m.Topo.CoreOf(placement[i])
+		for r, d := range eff.Res {
+			if d == 0 {
+				continue
+			}
+			slot := offset[r]
+			switch Resource(r).Level() {
+			case t2.IntraPipe:
+				slot += pipe
+			case t2.IntraCore:
+				slot += core
+			}
+			terms = append(terms, solveTerm{d: d, cap: m.Caps[r], slot: int32(slot), res: int32(r)})
+		}
+		tt = append(tt, solveTask{serial: eff.Serial, base: base, group: t.Group, end: len(terms)})
 	}
 
 	// Fixed point on group rates.
 	service := make([]float64, n)
 	rate := make([]float64, numGroups)
-	for i, d := range eff {
-		s := d.Base()
-		if s <= 0 {
-			return Result{}, fmt.Errorf("proc: task %d has non-positive base service time", i)
-		}
-		service[i] = s
-	}
-	groupOf := make([]int, n)
-	for i, t := range tasks {
-		groupOf[i] = t.Group
+	for i := range tt {
+		service[i] = tt[i].base
 	}
 	updateRates := func() {
 		for g := range rate {
@@ -217,7 +251,7 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 		}
 		for i := range service {
 			r := 1 / service[i]
-			g := groupOf[i]
+			g := tt[i].group
 			if rate[g] == 0 || r < rate[g] {
 				rate[g] = r
 			}
@@ -225,43 +259,34 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	}
 	updateRates()
 
-	util := make([][]float64, NumResources)
-	for r := range util {
-		util[r] = make([]float64, instances[r])
-	}
-
 	iterations := 0
 	for iter := 0; iter < solverMaxIter; iter++ {
 		iterations = iter + 1
 		// Utilization per resource instance under current rates.
-		for r := range util {
-			for j := range util[r] {
-				util[r][j] = 0
-			}
-		}
-		for i := range eff {
-			taskRate := rate[groupOf[i]]
-			for r := 0; r < NumResources; r++ {
-				if d := eff[i].Res[r]; d > 0 {
-					util[r][instOf(i, Resource(r))] += taskRate * d
+		clear(util)
+		start := 0
+		for i := range tt {
+			taskRate := rate[tt[i].group]
+			for _, e := range terms[start:tt[i].end] {
+				if e.d > 0 {
+					util[e.slot] += taskRate * e.d
 				}
 			}
+			start = tt[i].end
 		}
 		// Slowdowns and new service times.
 		maxDelta := 0.0
-		for i := range eff {
-			s := eff[i].Serial
-			for r := 0; r < NumResources; r++ {
-				d := eff[i].Res[r]
-				if d == 0 {
-					continue
-				}
+		start = 0
+		for i := range tt {
+			s := tt[i].serial
+			for _, e := range terms[start:tt[i].end] {
 				slow := 1.0
-				if u := util[r][instOf(i, Resource(r))]; u > m.Caps[r] {
-					slow = contentionCurve(Resource(r), u/m.Caps[r])
+				if u := util[e.slot]; u > e.cap {
+					slow = contentionCurve(Resource(e.res), u/e.cap)
 				}
-				s += d * slow
+				s += e.d * slow
 			}
+			start = tt[i].end
 			// Damping keeps the utilization↔rate loop from oscillating.
 			newS := 0.5*service[i] + 0.5*s
 			if delta := abs(newS-service[i]) / service[i]; delta > maxDelta {
@@ -286,9 +311,25 @@ func (m *Machine) Solve(tasks []Task, links []Link, placement []int) (Result, er
 	}
 	res.TotalPPS = res.TotalRate * m.ClockHz
 	for i := range service {
-		res.Slowdown[i] = service[i] / eff[i].Base()
+		res.Slowdown[i] = service[i] / tt[i].base
 	}
 	return res, nil
+}
+
+// solveTask is one task's row of Solve's demand table: its effective
+// serial and un-contended cycles, its group, and the end of its entries
+// in the term slice (each row starts where the previous one ends).
+type solveTask struct {
+	serial, base float64
+	group, end   int
+}
+
+// solveTerm is one non-zero effective demand: the cycles per packet, the
+// resource's capacity, the flat slot of the resource instance the task
+// loads, and the resource kind (for its contention curve).
+type solveTerm struct {
+	d, cap    float64
+	slot, res int32
 }
 
 // contentionCurve maps over-subscription (utilization / capacity > 1) to a

@@ -2,7 +2,9 @@
 // primitives used by the extreme-value analysis: summary statistics,
 // empirical distribution functions, sample quantiles, special functions
 // (regularized incomplete gamma, inverse error function) and the chi-squared
-// distribution needed for Wilks' likelihood-ratio confidence intervals.
+// distribution needed for Wilks' likelihood-ratio confidence intervals. It
+// also holds FirstFloat64, the closed-form first variate of a seeded
+// math/rand source, which the deterministic measurement noise draws.
 //
 // Everything is implemented from scratch on top of the standard library so
 // the module has no external dependencies.
